@@ -12,9 +12,7 @@ from .continuation import (
     monodromy_delta,
 )
 from .convolution import (
-    FiberCache,
     TwoPoleBranch,
-    build_fiber_cache,
     continue_convolution,
     convolve_entire,
     fiber_convolution_at,
@@ -73,8 +71,6 @@ __all__ = [
     "build_linear_homotopy",
     "build_symmetric_homotopy",
     "validate_homotopy",
-    "FiberCache",
-    "build_fiber_cache",
     "fiber_convolution_at",
     "continue_convolution",
     "convolve_entire",

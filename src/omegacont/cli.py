@@ -15,12 +15,8 @@ import sys
 import time
 from pathlib import Path
 
+import jsonschema
 import numpy as np
-
-try:
-    import jsonschema
-except ImportError:  # pragma: no cover
-    jsonschema = None
 
 from . import __version__
 from ._util import pair
@@ -111,8 +107,6 @@ GERM_SCHEMA = {
 
 
 def _validate(instance, schema, label):
-    if jsonschema is None:
-        return
     validator = jsonschema.Draft202012Validator(schema)
     errors = sorted(validator.iter_errors(instance), key=lambda e: list(e.path))
     if errors:
@@ -468,14 +462,18 @@ def _cmd_verify(args):
         1e-6,
     )
 
+    # with --json, stdout carries the JSON document alone
+    human = sys.stderr if args.json else sys.stdout
     width = max(len(r[0]) for r in rows)
-    print(f"verification suite: paper-examples ({len(rows)} checks)")
+    print(f"verification suite: paper-examples ({len(rows)} checks)", file=human)
     ok_all = True
     for name, residual, tol, ok in rows:
         ok_all &= ok
         status = "PASS" if ok else "FAIL"
-        print(f"  {name:<{width}}  residual={residual:.3e}  tol={tol:.0e}  {status}")
-    print(f"total time: {time.time() - t_start:.1f}s")
+        print(
+            f"  {name:<{width}}  residual={residual:.3e}  tol={tol:.0e}  {status}", file=human
+        )
+    print(f"total time: {time.time() - t_start:.1f}s", file=human)
     if args.json:
         print(
             json.dumps(
@@ -586,7 +584,6 @@ def _build_parser():
 
 
 def main(argv=None) -> int:
-    _ = os.environ.get("RESURGENCE_NUM_THREADS")  # worker cap; computation is vectorized
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:

@@ -23,8 +23,6 @@ from .omega import OmegaSet
 from .paths import PiecewisePath
 
 __all__ = [
-    "FiberCache",
-    "build_fiber_cache",
     "fiber_convolution_at",
     "continue_convolution",
     "convolve_entire",
@@ -64,29 +62,36 @@ def _gauss_nodes_on_polyline(points, breaks, scales=None, factor=0.15, max_split
     return np.asarray(params), np.asarray(weights)
 
 
+def _panel_sum(quad_w, phi_germs, rows):
+    """Gauss-panel sum of ``quad_w[i] * phi(node_i) * rows[i]`` over the nodes.
+
+    ``phi_germs[i]`` is the first factor's germ centred at node i, and
+    ``rows[i]`` holds the second factor's Taylor coefficients at the
+    mirrored point ``end - node_i``.  The terms are added in node order.
+    """
+    total = np.zeros(rows.shape[1], dtype=complex)
+    for w, germ, row in zip(quad_w, phi_germs, rows):
+        total += w * germ.coeffs[0] * row
+    return total
+
+
+def _mirrored_rows(phi_germs, psi_germs, end_pt, n_quad, order):
+    """Second factor's coefficients at ``end - node_i`` for every node.
+
+    The second factor was continued to the stops ``1 - u`` in ascending
+    order, so ``psi_germs[n_quad - 1 - i]`` sits at the mirror point of
+    node i up to rounding, and is regenerated exactly there.
+    """
+    rows = np.zeros((n_quad, order + 1), dtype=complex)
+    for i in range(n_quad):
+        q = end_pt - phi_germs[i].center
+        b = psi_germs[n_quad - 1 - i].regenerated(q).coeffs[: order + 1]
+        rows[i, : b.size] = b
+    return rows
+
+
 # ----------------------------------------------------------------------
 # fiber machinery
-
-
-@dataclass
-class FiberCache:
-    """Germs of both factors along one fiber of a homotopy.
-
-    ``phi_germs[m]`` is the first factor continued along the fiber up to
-    ``s_grid[m]``, centered at ``points[m]``; ``psi_germs[m]`` the same for
-    the second factor.  ``delta`` is the uniform radius bound derived from
-    the fiber's clearance.
-    """
-
-    s_grid: np.ndarray
-    points: np.ndarray
-    phi_germs: list
-    psi_germs: list
-    delta: float
-
-
-def _fiber_path(points: np.ndarray) -> PiecewisePath:
-    return PiecewisePath.polyline(points)
 
 
 def _fiber_delta(points: np.ndarray, omega: OmegaSet, fallback_radius: float) -> float:
@@ -101,23 +106,6 @@ def _fiber_delta(points: np.ndarray, omega: OmegaSet, fallback_radius: float) ->
     first = int(np.argmax(outside))
     dmin = float(np.min(omega.distance_many(points[first:])))
     return min(rho / 2.0, dmin)
-
-
-def build_fiber_cache(
-    h: SymmetricHomotopy,
-    phi: Germ,
-    psi: Germ,
-    omega: OmegaSet,
-    t_index: int = -1,
-) -> FiberCache:
-    """Continue both factors along one fiber, caching a germ per grid node."""
-    points = np.asarray(h.grid[t_index])
-    path = _fiber_path(points)
-    breaks = path.piece_breaks()
-    phi_germs = continue_with_stops(phi, path, omega, list(breaks))
-    psi_germs = continue_with_stops(psi, path, omega, list(breaks))
-    delta = _fiber_delta(points, omega, min(phi.radius, psi.radius))
-    return FiberCache(np.asarray(h.s_grid), points, phi_germs, psi_germs, delta)
 
 
 def fiber_convolution_at(
@@ -137,7 +125,7 @@ def fiber_convolution_at(
     second factor's origin germ.
     """
     points = np.asarray(h.grid[t_index])
-    path = _fiber_path(points)
+    path = PiecewisePath.polyline(points)
     breaks = path.piece_breaks()
     end_pt = complex(points[-1])
 
@@ -152,17 +140,8 @@ def fiber_convolution_at(
 
     phi_germs = continue_with_stops(phi, path, omega, stops_phi)
     psi_germs = continue_with_stops(psi, path, omega, stops_psi)
-    n_quad = params.size
-
-    first = np.zeros(order + 1, dtype=complex)
-    for i in range(n_quad):
-        germ_phi = phi_germs[i]
-        val = germ_phi.coeffs[0]
-        q = end_pt - germ_phi.center
-        germ_psi = psi_germs[n_quad - 1 - i]
-        shifted = germ_psi.regenerated(q)
-        b = shifted.coeffs[: order + 1]
-        first[: b.size] += quad_w[i] * val * b
+    rows = _mirrored_rows(phi_germs, psi_germs, end_pt, params.size, order)
+    first = _panel_sum(quad_w, phi_germs, rows)
 
     end_germ_phi = phi_germs[-1]
     second = beta_convolve_coeffs(end_germ_phi.coeffs, psi.coeffs, order)
@@ -266,19 +245,12 @@ def naive_endpoint_convolution(
     # second-factor branches along the reversed difference path
     diff_points = end_pt - points[::-1]
     diff_path = PiecewisePath.polyline(diff_points)
-    diff_breaks = diff_path.piece_breaks()
     psi_germs = continue_with_stops(
         psi, diff_path, omega, sorted(1.0 - u for u in params)
     )
 
-    n_quad = params.size
-    first = np.zeros(order + 1, dtype=complex)
-    for i in range(n_quad):
-        val = phi_germs[i].coeffs[0]
-        q = end_pt - phi_germs[i].center
-        shifted = psi_germs[n_quad - 1 - i].regenerated(q)
-        b = shifted.coeffs[: order + 1]
-        first[: b.size] += quad_w[i] * val * b
+    rows = _mirrored_rows(phi_germs, psi_germs, end_pt, params.size, order)
+    first = _panel_sum(quad_w, phi_germs, rows)
     second = beta_convolve_coeffs(phi_germs[-1].coeffs, psi.coeffs, order)
     radius = max(omega.distance(end_pt), 1e-9)
     return Germ(end_pt, first + second, radius)
@@ -352,12 +324,11 @@ def convolve_entire(
     params, quad_w = _gauss_nodes_on_polyline(points, breaks, panel_scale)
     germs = continue_with_stops(phi, path, omega, list(params) + [breaks[-1]])
     centers = np.array([g.center for g in germs[:-1]])
-    vals = np.array([g.coeffs[0] for g in germs[:-1]])
     max_reach = float(np.max(np.abs(zeta1 - centers), initial=abs(zeta1 - zeta0)))
     if max_reach > 0.7 * a_germ.radius:
         raise GermDomainError("entire factor's certified disk does not cover the path")
     avals = _polyval_rows(rows, zeta1 - centers)
-    term2 = (avals * (vals * quad_w)[None, :]).sum(axis=1)
+    term2 = _panel_sum(quad_w, germs, avals.T)
 
     # final piece as a series at the endpoint
     cont_phi = germs[-1]

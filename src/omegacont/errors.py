@@ -80,7 +80,3 @@ class HomotopyInvariantError(OmegaContError):
     def __init__(self, message, report=None):
         super().__init__(message)
         self.report = report
-
-
-class QuadratureError(OmegaContError):
-    """Quadrature failed to converge under refinement."""

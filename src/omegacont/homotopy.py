@@ -24,13 +24,6 @@ from .mollifier import Mollifier, build_mollifier
 from .omega import OmegaSet
 from .paths import PiecewisePath, clearance, segment_around_zeros
 
-try:
-    import numba
-
-    _HAVE_NUMBA = True
-except ImportError:  # pragma: no cover
-    _HAVE_NUMBA = False
-
 __all__ = [
     "HomotopyOptions",
     "SymmetricHomotopy",
@@ -146,45 +139,39 @@ def vector_field(m: Mollifier, gamma: PiecewisePath, zeta: complex, t: float) ->
     return complex(_field_block(m, gpt, gvel, np.array([zeta]), t)[0])
 
 
-def _rk4_block(m, gamma, z, t0, dt):
-    tm = t0 + 0.5 * dt
-    t1 = t0 + dt
-    g0, v0 = gamma.eval(t0), gamma.derivative(t0)
-    gm, vm = gamma.eval(tm), gamma.derivative(tm)
-    g1, v1 = gamma.eval(t1), gamma.derivative(t1)
-    k1 = _field_block(m, g0, v0, z, t0)
-    k2 = _field_block(m, gm, vm, z + 0.5 * dt * k1, tm)
-    k3 = _field_block(m, gm, vm, z + 0.5 * dt * k2, tm)
-    k4 = _field_block(m, g1, v1, z + dt * k3, t1)
-    return z + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-
-
 def flow(
     m: Mollifier,
     gamma: PiecewisePath,
-    zeta0: complex,
+    zeta0: complex | np.ndarray,
     t0: float,
     t1: float,
     n_steps: int,
-) -> complex:
-    """Flow map of the field from time t0 to t1 (classical one-step order 4)."""
+) -> complex | np.ndarray:
+    """Flow map of the field from time t0 to t1 (classical one-step order 4).
+
+    ``zeta0`` is one start or an array of starts; a single start returns a
+    complex, an array the array of end points.
+    """
     if n_steps < 1:
         raise ValueError("n_steps must be positive")
-    z = np.array([complex(zeta0)])
-    reach = abs(zeta0) + gamma.length() + abs(gamma.eval(t0)) + 1.0
-    m.prepare(0j, reach)
-    dt = (t1 - t0) / n_steps
-    t = t0
-    for _ in range(n_steps):
-        z = _rk4_block(m, gamma, z, t, dt)
-        t += dt
-    return complex(z[0])
+    starts = np.asarray(zeta0, dtype=complex)
+    z = starts.ravel()
+    reach = float(np.max(np.abs(z), initial=0.0))
+    m.prepare(0j, reach + gamma.length() + abs(gamma.eval(t0)) + 1.0)
+    times, dts = _stage_times(np.linspace(t0, t1, n_steps + 1), 1)
+    pts = gamma.eval_many(times)
+    vels = gamma.derivative_many(times)
+    no_pins = np.zeros(z.size, dtype=bool)
+    z = _flow_span(m, z, times, dts, pts, vels, no_pins, no_pins)
+    if starts.ndim == 0:
+        return complex(z[0])
+    return z.reshape(starts.shape)
 
 
 def _stage_times(t_nodes, substeps):
+    """RK4 sample times (start, midpoint, end of every substep) and step sizes."""
     times = np.empty(3 * substeps * (t_nodes.size - 1))
     dts = np.empty(substeps * (t_nodes.size - 1))
-    rec_after = np.full(substeps * (t_nodes.size - 1), -1, dtype=np.int64)
     pos = 0
     step = 0
     for i in range(t_nodes.size - 1):
@@ -195,182 +182,31 @@ def _stage_times(t_nodes, substeps):
             dts[step] = dt
             pos += 3
             step += 1
-        rec_after[step - 1] = i + 1
-    return times, dts, rec_after
+    return times, dts
 
 
-def _flow_columns(m, gamma, z0, s_vals, t_nodes, substeps):
-    """Flow trajectories for the profile parameters ``s_vals`` (all <= 1/2).
+def _flow_span(m, z, times, dts, pts, vels, pin0, pinmid):
+    """Classical RK4 steps of sizes ``dts`` from the states ``z``.
 
-    The origin column (s = 0) stays pinned at 0 and the midline column
-    (s = 1/2) at gamma(t)/2; both are exact trajectories and pinning them
-    keeps the integrated half-grid consistent with the mirror completion.
+    ``times``, ``pts`` and ``vels`` hold three entries per step: the time,
+    gamma and gamma' at its start, midpoint and end.  After every step the
+    columns in ``pin0`` are reset to 0 and those in ``pinmid`` to gamma/2;
+    both are exact trajectories, and pinning them keeps an integrated
+    half-grid consistent with its mirror completion.
     """
-    # stage times and path samples computed up front; the stepping then only
-    # touches the cutoff
-    times, dts, rec_after = _stage_times(t_nodes, substeps)
-    pts = gamma.eval_many(times)
-    vels = gamma.derivative_many(times)
-
-    s_vals = np.asarray(s_vals)
-    pin_zero = np.abs(s_vals) <= 1e-15
-    pin_mid = np.abs(s_vals - 0.5) <= 1e-15
-    rows = np.empty((t_nodes.size, z0.size), dtype=complex)
-    rows[0] = z0
-
-    if _HAVE_NUMBA:
-        # candidate list must cover every query point: trajectories reach at
-        # most |z0| + stage length, and the reflected queries add max |gamma|
-        bound = (
-            float(np.max(np.abs(z0), initial=0.0))
-            + gamma.length()
-            + float(np.max(np.abs(pts)))
-            + 1.0
-        )
-        ws = m._workspace
-        if ws is None or ws.radius < bound or abs(ws.center) > 1e-12:
-            m.prepare(0j, bound)
-        ws_pts = m._workspace.points
-        lo = m.epsilon**2
-        hi = (1.0 + m.epsilon) ** 2
-        z = np.array(z0, dtype=complex)
-        flag = _flow_stage_kernel(
-            z,
-            dts,
-            pts,
-            vels,
-            rec_after,
-            np.ascontiguousarray(ws_pts.real, dtype=float),
-            np.ascontiguousarray(ws_pts.imag, dtype=float),
-            lo,
-            1.0 / (hi - lo),
-            m._origin_active,
-            pin_zero,
-            pin_mid,
-            rows,
-        )
-        if flag >= 0:
-            # re-run the failing step through the checked block for a witness
-            step = flag // max(z0.size, 1)
-            t_fail = times[3 * step]
-            _field_block(m, pts[3 * step], vels[3 * step], rows[max(0, rec_after[step] - 1)], t_fail)
-            raise DenominatorVanishedError(
-                f"cutoff denominator vanished near t={t_fail:.6g}", t=t_fail
-            )
-        return rows
-
-    z = np.array(z0, dtype=complex)
-    pos = 0
-    for i in range(t_nodes.size - 1):
-        dt = (t_nodes[i + 1] - t_nodes[i]) / substeps
-        for _ in range(substeps):
-            t0, tm, t1 = times[pos : pos + 3]
-            g0, gm, g1 = pts[pos : pos + 3]
-            v0, vm, v1 = vels[pos : pos + 3]
-            k1 = _field_block(m, g0, v0, z, t0)
-            k2 = _field_block(m, gm, vm, z + 0.5 * dt * k1, tm)
-            k3 = _field_block(m, gm, vm, z + 0.5 * dt * k2, tm)
-            k4 = _field_block(m, g1, v1, z + dt * k3, t1)
-            z = z + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-            z[pin_zero] = 0.0
-            z[pin_mid] = 0.5 * g1
-            pos += 3
-        rows[i + 1] = z
-    return rows
-
-
-if _HAVE_NUMBA:
-
-    @numba.njit(cache=True, inline="always")
-    def _eta_nb(x, y, pr, pi, lo, inv_w, origin_active):
-        prod = 1.0
-        for k in range(pr.size):
-            dx = x - pr[k]
-            dy = y - pi[k]
-            u = (dx * dx + dy * dy - lo) * inv_w
-            if u <= 0.0:
-                return 0.0
-            if u < 1.0:
-                prod *= u * u * (2.0 + u * (4.0 + u * (-9.0 + 4.0 * u)))
-        if origin_active:
-            u = x * x + y * y
-            if u <= 0.0:
-                return 0.0
-            if u < 1.0:
-                prod *= u * u * (2.0 + u * (4.0 + u * (-9.0 + 4.0 * u)))
-        return prod
-
-    @numba.njit(cache=True, inline="always")
-    def _field_nb(z, g, v, pr, pi, lo, inv_w, origin_active):
-        e1 = _eta_nb(z.real, z.imag, pr, pi, lo, inv_w, origin_active)
-        w = g - z
-        e2 = _eta_nb(w.real, w.imag, pr, pi, lo, inv_w, origin_active)
-        den = e1 + e2
-        if den <= 0.0:
-            return complex(np.nan, np.nan)
-        return (e1 / den) * v
-
-    @numba.njit(cache=True)
-    def _flow_span_kernel(z, dts, pts, vels, pr, pi, lo, inv_w, origin_active, pin0, pinmid):
-        m_count = z.size
-        for step in range(dts.size):
-            dt = dts[step]
-            g0 = pts[3 * step]
-            gm = pts[3 * step + 1]
-            g1 = pts[3 * step + 2]
-            v0 = vels[3 * step]
-            vm = vels[3 * step + 1]
-            v1 = vels[3 * step + 2]
-            for m in range(m_count):
-                zm = z[m]
-                k1 = _field_nb(zm, g0, v0, pr, pi, lo, inv_w, origin_active)
-                k2 = _field_nb(zm + 0.5 * dt * k1, gm, vm, pr, pi, lo, inv_w, origin_active)
-                k3 = _field_nb(zm + 0.5 * dt * k2, gm, vm, pr, pi, lo, inv_w, origin_active)
-                k4 = _field_nb(zm + dt * k3, g1, v1, pr, pi, lo, inv_w, origin_active)
-                zn = zm + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-                if zn != zn:  # nan: denominator vanished
-                    return step * m_count + m
-                z[m] = zn
-            for m in range(m_count):
-                if pin0[m]:
-                    z[m] = 0.0
-                elif pinmid[m]:
-                    z[m] = 0.5 * g1
-        return -1
-
-    @numba.njit(cache=True)
-    def _flow_stage_kernel(
-        z, dts, pts, vels, rec_after, pr, pi, lo, inv_w, origin_active, pin0, pinmid, rows
-    ):
-        m_count = z.size
-        for step in range(dts.size):
-            dt = dts[step]
-            g0 = pts[3 * step]
-            gm = pts[3 * step + 1]
-            g1 = pts[3 * step + 2]
-            v0 = vels[3 * step]
-            vm = vels[3 * step + 1]
-            v1 = vels[3 * step + 2]
-            for m in range(m_count):
-                zm = z[m]
-                k1 = _field_nb(zm, g0, v0, pr, pi, lo, inv_w, origin_active)
-                k2 = _field_nb(zm + 0.5 * dt * k1, gm, vm, pr, pi, lo, inv_w, origin_active)
-                k3 = _field_nb(zm + 0.5 * dt * k2, gm, vm, pr, pi, lo, inv_w, origin_active)
-                k4 = _field_nb(zm + dt * k3, g1, v1, pr, pi, lo, inv_w, origin_active)
-                zn = zm + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-                if zn != zn:  # nan: denominator vanished
-                    return step * m_count + m
-                z[m] = zn
-            for m in range(m_count):
-                if pin0[m]:
-                    z[m] = 0.0
-                elif pinmid[m]:
-                    z[m] = 0.5 * g1
-            rec = rec_after[step]
-            if rec >= 0:
-                for m in range(m_count):
-                    rows[rec, m] = z[m]
-        return -1
+    for step in range(dts.size):
+        dt = dts[step]
+        t0, tm, t1 = times[3 * step : 3 * step + 3]
+        g0, gm, g1 = pts[3 * step : 3 * step + 3]
+        v0, vm, v1 = vels[3 * step : 3 * step + 3]
+        k1 = _field_block(m, g0, v0, z, t0)
+        k2 = _field_block(m, gm, vm, z + 0.5 * dt * k1, tm)
+        k3 = _field_block(m, gm, vm, z + 0.5 * dt * k2, tm)
+        k4 = _field_block(m, g1, v1, z + dt * k3, t1)
+        z = z + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        z[pin0] = 0.0
+        z[pinmid] = 0.5 * g1
+    return z
 
 
 def _mirror_rows(lower_rows, endpoint_values):
@@ -389,11 +225,32 @@ def _mirror_rows(lower_rows, endpoint_values):
 
 
 def _flow_rows(m, gamma, z0, t_nodes, substeps):
-    m_count = z0.size
-    mid = (m_count - 1) // 2
-    s_half = np.linspace(0.0, 0.5, mid + 1)
-    cols = _flow_columns(m, gamma, z0[: mid + 1], s_half, t_nodes, substeps)
-    return _mirror_rows(cols, gamma.eval_many(np.asarray(t_nodes)))
+    """Flow the lower half of the profile ``z0`` node by node, then mirror it."""
+    half = (z0.size - 1) // 2 + 1
+    times, dts = _stage_times(t_nodes, substeps)
+    pts = gamma.eval_many(times)
+    vels = gamma.derivative_many(times)
+    pin0 = np.zeros(half, dtype=bool)
+    pinmid = np.zeros(half, dtype=bool)
+    pin0[0] = True
+    pinmid[-1] = True
+    rows = np.empty((t_nodes.size, half), dtype=complex)
+    rows[0] = z = z0[:half]
+    for i in range(t_nodes.size - 1):
+        lo = i * substeps
+        hi = (i + 1) * substeps
+        z = _flow_span(
+            m,
+            z,
+            times[3 * lo : 3 * hi],
+            dts[lo:hi],
+            pts[3 * lo : 3 * hi],
+            vels[3 * lo : 3 * hi],
+            pin0,
+            pinmid,
+        )
+        rows[i + 1] = z
+    return _mirror_rows(rows, gamma.eval_many(np.asarray(t_nodes)))
 
 
 # ----------------------------------------------------------------------
@@ -591,7 +448,7 @@ def _run_flow_stage(state: _ProfileState, plan: _StagePlan):
     m = plan.mollifier
     gamma = plan.piece
     t_nodes = plan.t_nodes
-    times, dts, _ = _stage_times(t_nodes, plan.substeps)
+    times, dts = _stage_times(t_nodes, plan.substeps)
     pts = gamma.eval_many(times)
     vels = gamma.derivative_many(times)
     bound = (
@@ -609,51 +466,13 @@ def _run_flow_stage(state: _ProfileState, plan: _StagePlan):
         state.z = _flow_span(
             m,
             state.z,
+            times[3 * lo : 3 * hi],
             dts[lo:hi],
             pts[3 * lo : 3 * hi],
             vels[3 * lo : 3 * hi],
             *state.pin_masks(),
         )
         state.record(pts[3 * hi - 1])
-
-
-def _flow_span(m, z, dts, pts, vels, pin0, pinmid):
-    if _HAVE_NUMBA:
-        ws_pts = m._workspace.points
-        lo = m.epsilon**2
-        hi = (1.0 + m.epsilon) ** 2
-        z = np.array(z, dtype=complex)
-        flag = _flow_span_kernel(
-            z,
-            dts,
-            pts,
-            vels,
-            np.ascontiguousarray(ws_pts.real, dtype=float),
-            np.ascontiguousarray(ws_pts.imag, dtype=float),
-            lo,
-            1.0 / (hi - lo),
-            m._origin_active,
-            pin0,
-            pinmid,
-        )
-        if flag >= 0:
-            step = flag // max(z.size, 1)
-            _field_block(m, pts[3 * step], vels[3 * step], z, 0.0)
-            raise DenominatorVanishedError("cutoff denominator vanished mid flow")
-        return z
-    for step in range(dts.size):
-        dt = dts[step]
-        t0 = tm = t1 = 0.0
-        g0, gm, g1 = pts[3 * step : 3 * step + 3]
-        v0, vm, v1 = vels[3 * step : 3 * step + 3]
-        k1 = _field_block(m, g0, v0, z, t0)
-        k2 = _field_block(m, gm, vm, z + 0.5 * dt * k1, tm)
-        k3 = _field_block(m, gm, vm, z + 0.5 * dt * k2, tm)
-        k4 = _field_block(m, g1, v1, z + dt * k3, t1)
-        z = z + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        z[pin0] = 0.0
-        z[pinmid] = 0.5 * g1
-    return z
 
 
 def _run_linear_stage(state: _ProfileState, plan: _StagePlan):

@@ -16,23 +16,20 @@ import numpy as np
 from .errors import OmegaContError
 from .omega import OmegaSet
 
-try:
-    import numba
-
-    _HAVE_NUMBA = True
-except ImportError:  # pragma: no cover
-    _HAVE_NUMBA = False
-
 __all__ = ["Mollifier", "build_mollifier"]
 
 
-def _ramp(u):
+def _ramp(u, out=None):
     """Monotone C1 ramp on [0, 1] with quadratic inner tangency and a C2
     outer glue: finite differences match the analytic gradient at tight
     tolerances on both glue circles, and the gentle inner growth keeps the
-    deformation flow well conditioned near the frozen disks."""
-    u = np.clip(u, 0.0, 1.0)
-    return u * u * (2.0 + u * (4.0 + u * (-9.0 + 4.0 * u)))
+    deformation flow well conditioned near the frozen disks.
+
+    ``out=u`` clips a large argument array in place, which saves a copy."""
+    u = np.clip(u, 0.0, 1.0, out=out)
+    f = u * u
+    f *= 2.0 + u * (4.0 + u * (-9.0 + 4.0 * u))
+    return f
 
 
 def _ramp_derivative(u):
@@ -118,21 +115,8 @@ class Mollifier:
     def eval_many(self, z) -> np.ndarray:
         z = np.atleast_1d(np.asarray(z, dtype=complex))
         pts, lo, hi = self._factor_args(z)
-        x = np.ascontiguousarray(z.real, dtype=float)
-        y = np.ascontiguousarray(z.imag, dtype=float)
-        if _HAVE_NUMBA:
-            out = np.empty(x.shape, dtype=float)
-            _eta_kernel(
-                x.ravel(),
-                y.ravel(),
-                np.ascontiguousarray(pts.real, dtype=float),
-                np.ascontiguousarray(pts.imag, dtype=float),
-                lo,
-                1.0 / (hi - lo),
-                self._origin_active,
-                out.ravel(),
-            )
-            return out
+        x = z.real
+        y = z.imag
         out = np.ones(z.shape, dtype=float)
         if pts.size:
             inv_w = 1.0 / (hi - lo)
@@ -140,13 +124,9 @@ class Mollifier:
             u += (y[..., None] - pts.imag) ** 2
             u -= lo
             u *= inv_w
-            np.clip(u, 0.0, 1.0, out=u)
-            f = u * u
-            f *= 2.0 + u * (4.0 + u * (-9.0 + 4.0 * u))
-            out = np.prod(f, axis=-1)
+            out = np.prod(_ramp(u, out=u), axis=-1)
         if self._origin_active:
-            u = np.clip(x * x + y * y, 0.0, 1.0)
-            out = out * (u * u * (2.0 + u * (4.0 + u * (-9.0 + 4.0 * u))))
+            out = out * _ramp(x * x + y * y)
         return out
 
     def eval(self, z: complex) -> float:
@@ -178,32 +158,6 @@ class Mollifier:
             gx += grads[i][0] * rest
             gy += grads[i][1] * rest
         return gx, gy
-
-
-if _HAVE_NUMBA:
-
-    @numba.njit(cache=True)
-    def _eta_kernel(x, y, pr, pi, lo, inv_w, origin_active, out):
-        n = x.size
-        q = pr.size
-        for i in range(n):
-            prod = 1.0
-            for k in range(q):
-                dx = x[i] - pr[k]
-                dy = y[i] - pi[k]
-                u = (dx * dx + dy * dy - lo) * inv_w
-                if u <= 0.0:
-                    prod = 0.0
-                    break
-                if u < 1.0:
-                    prod *= u * u * (2.0 + u * (4.0 + u * (-9.0 + 4.0 * u)))
-            if prod != 0.0 and origin_active:
-                u = x[i] * x[i] + y[i] * y[i]
-                if u <= 0.0:
-                    prod = 0.0
-                elif u < 1.0:
-                    prod *= u * u * (2.0 + u * (4.0 + u * (-9.0 + 4.0 * u)))
-            out[i] = prod
 
 
 def build_mollifier(

@@ -20,6 +20,7 @@ from omegacont import (
     convolve_at_origin,
     convolve_entire,
     fiber_convolution_at,
+    flow,
     monodromy_delta,
     named_germ,
     two_pole_oracle,
@@ -27,7 +28,7 @@ from omegacont import (
     vector_field,
 )
 from omegacont.germs import Germ, log_pole_germ, pole_germ
-from omegacont.homotopy import _field_block, _flow_columns
+from omegacont.homotopy import _field_block
 
 NSTAR = OmegaSet.positive_integers()
 TWO_PI_I = OmegaSet.two_pi_i_lattice()
@@ -216,9 +217,8 @@ def test_criterion_6_vector_field_identities(rng):
     assert worst <= 1e-12
     # flow group law at 100 random starts (batched through the integrator)
     z0 = rng.uniform(-1, 3, 100) + 1j * rng.uniform(-1, 2, 100)
-    s_dummy = np.full(100, 0.25)
-    fwd = _flow_columns(m, gamma, z0, s_dummy, np.linspace(0.0, 1.0, 151), 2)[-1]
-    back = _flow_columns(m, gamma, fwd, s_dummy, np.linspace(1.0, 0.0, 151), 2)[-1]
+    fwd = flow(m, gamma, z0, 0.0, 1.0, 300)
+    back = flow(m, gamma, fwd, 1.0, 0.0, 300)
     law = float(np.max(np.abs(back - z0)))
     assert law <= 1e-7
     elapsed = time.monotonic() - t0

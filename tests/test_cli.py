@@ -168,3 +168,12 @@ def test_missing_file_is_input_error(workdir, capsys):
     rc = main(["omega-check", "--omega", "absent.json", "--window", "5"])
     assert rc == 1
     assert "not found" in capsys.readouterr().err
+
+
+def test_verify_json_stdout_is_pure_json(capsys):
+    assert main(["verify", "--json"]) == 0
+    captured = capsys.readouterr()
+    out = json.loads(captured.out)
+    assert out["ok"] is True
+    assert len(out["checks"]) >= 10
+    assert "verification suite" in captured.err

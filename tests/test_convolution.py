@@ -4,10 +4,10 @@ import numpy as np
 
 from omegacont import (
     PiecewisePath,
-    build_fiber_cache,
     build_symmetric_homotopy,
     continue_along,
     continue_convolution,
+    continue_with_stops,
     convolve_at_origin,
     convolve_entire,
     fiber_convolution_at,
@@ -15,6 +15,7 @@ from omegacont import (
     named_germ,
     two_pole_oracle,
 )
+from omegacont.convolution import _fiber_delta
 from omegacont.germs import pole_germ
 
 TARGET = 2.6 + 0.4j
@@ -105,20 +106,25 @@ def test_closure_under_further_continuation(nstar):
     assert abs(moved.coeffs[0] - reference.coeffs[0]) < 1e-6
 
 
-def test_fiber_cache_invariants(nstar):
+def test_fiber_stop_germs_invariants(nstar):
+    # both factors continued along the final fiber with a stop at every node
     phi, psi = pole_germ(1.0), pole_germ(2.0)
     h = build_symmetric_homotopy(direct_path(), nstar)
-    cache = build_fiber_cache(h, phi, psi, nstar)
-    points = cache.points
-    assert len(cache.phi_germs) == points.size
-    for germ, point in zip(cache.phi_germs, points):
+    points = h.final_path
+    fiber = PiecewisePath.polyline(points)
+    stops = list(fiber.piece_breaks())
+    phi_germs = continue_with_stops(phi, fiber, nstar, stops)
+    psi_germs = continue_with_stops(psi, fiber, nstar, stops)
+    delta = _fiber_delta(points, nstar, min(phi.radius, psi.radius))
+    assert len(phi_germs) == points.size
+    for germ, point in zip(phi_germs, points):
         assert abs(germ.center - point) <= 1e-9
-    for germ in cache.phi_germs[1:]:
-        assert germ.radius >= min(cache.delta, nstar.distance(germ.center)) - 1e-9
-    # the cached values are the two branches
+    for germ in phi_germs[1:]:
+        assert germ.radius >= min(delta, nstar.distance(germ.center)) - 1e-9
+    # the germs carry the two branches
     k = points.size // 2
-    assert abs(cache.phi_germs[k].coeffs[0] - 1.0 / (points[k] - 1.0)) < 1e-9
-    assert abs(cache.psi_germs[k].coeffs[0] - 1.0 / (points[k] - 2.0)) < 1e-9
+    assert abs(phi_germs[k].coeffs[0] - 1.0 / (points[k] - 1.0)) < 1e-9
+    assert abs(psi_germs[k].coeffs[0] - 1.0 / (points[k] - 2.0)) < 1e-9
 
 
 # ----------------------------------------------------------------------

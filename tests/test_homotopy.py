@@ -15,7 +15,7 @@ from omegacont import (
     vector_field,
 )
 from omegacont.errors import DenominatorVanishedError, HomotopyBuildError
-from omegacont.homotopy import _field_block, _flow_columns
+from omegacont.homotopy import _field_block
 
 GAMMA = PiecewisePath.segment(0.5, 0.5 + 2j)
 
@@ -92,6 +92,17 @@ def test_flow_group_law(nstar, rng):
         back = flow(m, GAMMA, fwd, 1.0, 0.0, 300)
         worst = max(worst, abs(back - z0))
     assert worst < 1e-7
+
+
+def test_flow_failure_names_its_time():
+    # {1, 2} is not addition stable: the field breaks down where gamma
+    # passes near 3 = 1 + 2, and the error must say when that happened
+    omega = OmegaSet([1.0, 2.0])
+    path = PiecewisePath.polyline([0.3, 0.5 + 0.5j, 3.0 + 0.5j, 3.0 - 0.5j])
+    with pytest.raises(DenominatorVanishedError) as info:
+        build_symmetric_homotopy(path, omega)
+    assert info.value.t > 0
+    assert abs(path.eval(info.value.t) - 3.0) < 0.5
 
 
 def test_flow_symmetry_conjugation(nstar, rng):
@@ -234,9 +245,11 @@ def test_validate_flags_corrupted_grid(nstar):
 
 def test_fixed_points_of_transport(nstar):
     m = _mollifier(nstar)
-    z0 = np.array([1.0 + 0j, 2.0 + 0j, 0.37 + 0.4j])
-    s_dummy = np.array([0.1, 0.2, 0.3])
-    rows = _flow_columns(m, GAMMA, z0, s_dummy, np.linspace(0, 1, 33), 2)
+    rows = [np.array([1.0 + 0j, 2.0 + 0j, 0.37 + 0.4j])]
+    t_nodes = np.linspace(0, 1, 33)
+    for t0, t1 in zip(t_nodes[:-1], t_nodes[1:]):
+        rows.append(flow(m, GAMMA, rows[-1], t0, t1, 2))
+    rows = np.array(rows)
     assert np.max(np.abs(rows[:, 0] - 1.0)) < 1e-12
     assert np.max(np.abs(rows[:, 1] - 2.0)) < 1e-12
 

@@ -94,17 +94,47 @@ def test_epsilon_too_large_rejected():
         build_mollifier(OmegaSet([0.0, 0.25]), 0.2, include_origin=False)
 
 
-def test_numba_and_numpy_paths_agree(nstar, rng):
-    import omegacont.mollifier as mm
+def _eta_reference(omega, eps, include_origin, z):
+    """Plain-Python product of the ramp over the points near z."""
 
-    m = build_mollifier(nstar, 0.1, include_origin=True)
-    z = rng.uniform(-2, 5, 257) + 1j * rng.uniform(-2, 2, 257)
-    fast = m.eval_many(z).copy()
-    if not mm._HAVE_NUMBA:
-        pytest.skip("numba not available")
-    mm._HAVE_NUMBA = False
-    try:
-        slow = m.eval_many(z)
-    finally:
-        mm._HAVE_NUMBA = True
-    assert np.array_equal(fast, slow)
+    def ramp(u):
+        u = min(max(u, 0.0), 1.0)
+        return u * u * (2.0 + u * (4.0 + u * (-9.0 + 4.0 * u)))
+
+    lo, hi = eps * eps, (1.0 + eps) * (1.0 + eps)
+    inv_w = 1.0 / (hi - lo)
+    value = 1.0
+    for w in omega.enumerate_in_disk(z, 1.0 + eps + 0.5):
+        dx, dy = z.real - w.real, z.imag - w.imag
+        value *= ramp((dx * dx + dy * dy - lo) * inv_w)
+    near_origin = omega.enumerate_in_disk(0j, eps + 0.5)
+    if include_origin and all(abs(w) > eps for w in near_origin):
+        value *= ramp(z.real * z.real + z.imag * z.imag)
+    return value
+
+
+@pytest.mark.parametrize(
+    "family, eps, box",
+    [
+        ("positive_integers", 0.1, (-2.0, 5.0, -2.0, 2.0)),
+        ("positive_integers", 0.0, (-2.0, 5.0, -2.0, 2.0)),
+        ("gauss_integers", 0.1, (-3.0, 3.0, -3.0, 3.0)),
+        ("two_pi_i_lattice", 0.3, (-2.0, 2.0, -8.0, 8.0)),
+    ],
+)
+@pytest.mark.parametrize("include_origin", [True, False])
+def test_eval_many_matches_plain_product(family, eps, box, include_origin, rng):
+    omega = getattr(OmegaSet, family)()
+    m = build_mollifier(omega, eps, include_origin=include_origin)
+    x0, x1, y0, y1 = box
+    z = rng.uniform(x0, x1, 300) + 1j * rng.uniform(y0, y1, 300)
+    # points on the glue circles of the lattice points and of the origin
+    ang = rng.uniform(0.0, 2 * math.pi, 40)
+    w = np.array(omega.enumerate_in_disk(0j, 3.0)[:5])
+    for r in (eps, 1.0 + eps):
+        z = np.concatenate([z, (w[:, None] + r * np.exp(1j * ang)).ravel()])
+    z = np.concatenate([z, np.exp(1j * ang)])
+    got = m.eval_many(z)
+    want = np.array([_eta_reference(omega, eps, include_origin, complex(p)) for p in z])
+    assert np.max(np.abs(got - want)) <= 1e-15
+    assert np.any((want > 0.0) & (want < 1.0))
